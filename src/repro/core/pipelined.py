@@ -9,6 +9,11 @@ now share one partition, a lock around the store.  It consumes
 threaded design in the paper's configuration — yet delivers strictly
 worse latency and throughput, which Fig. 10's "Pipeline + RDMA Write"
 series quantifies.
+
+Each I/O thread runs the shared :meth:`Shard._sweep_loop` over its own
+connection partition; this class supplies only that partition, its
+hand-off (enqueue the raw request) and the workers, which parse, lock,
+and run the shared execute, ``_persist`` and respond steps.
 """
 
 from __future__ import annotations
@@ -17,12 +22,8 @@ from typing import Optional
 
 from ..config import SimConfig
 from ..hardware import Core, Machine
-from ..protocol import Request, Response, Status
-from ..protocol.messages import _REQ
 from ..sim import Interrupt, MetricSet, RwLock, Simulator, Store
-from .errors import LifecycleError
-from .shard import (_MAX_OP, _OP_BY_CODE, _WRITE_HI, _WRITE_LO, Connection,
-                    Shard, WRITE_OPS)
+from .shard import _WRITE_HI, _WRITE_LO, Connection, Shard
 from .store import ShardStore
 
 __all__ = ["PipelinedShard"]
@@ -54,59 +55,29 @@ class PipelinedShard(Shard):
             for i in range(h.pipeline_worker_threads)
         ]
         self._queue = Store(sim)
+        self._handoffs = [self._queue]
         self._store_lock = RwLock(sim)
-        self._procs: list = []
         #: Per-I/O-thread connection partitions, re-derived only when the
         #: connection set actually changes (``_conn_gen``) instead of
         #: rebuilt every sweep.
         self._conn_cache: dict[int, list[Connection]] = {}
         self._conn_cache_gen = -1
-        #: Flat workers respond through the sweep-batch buffer only.
-        self._flat_pipe = (self._flat and self.hydra.rdma_write_messaging
-                           and self.hydra.resp_doorbell_batch > 0)
 
     @property
     def cores_used(self) -> int:
         return len(self.io_cores) + len(self.worker_cores)
 
-    # -- lifecycle ---------------------------------------------------------
-    def start(self) -> None:
-        if self.alive:
-            raise LifecycleError(f"{self.shard_id} already running")
-        self.alive = True
-        for tid, io_core in enumerate(self.io_cores):
-            self._procs.append(self.sim.process(
-                self._io_loop(tid, io_core), name=f"{self.shard_id}.io{tid}"))
-        for wid, w_core in enumerate(self.worker_cores):
-            self._procs.append(self.sim.process(
-                self._worker_loop(w_core), name=f"{self.shard_id}.w{wid}"))
-        self._proc = self._procs[0]
-        if self.store.reclaimer._proc is None:
-            self.store.reclaimer.start()
-
-    def kill(self) -> None:
-        self.alive = False
-        self.store.reclaimer.stop()
-        for p in self._procs:
-            if p.is_alive:
-                p.interrupt("killed")
-        if self.durable is not None:
-            self.durable.crash()
-        # Requests handed off but never picked up by a worker die with the
-        # process; count them so availability experiments can see how much
-        # in-flight work a failover drops on the floor.
-        dropped = len(self._queue.items)
-        if dropped:
-            self._queue.items.clear()
-            self.metrics.counter("shard.dropped_handoffs").add(dropped)
-        self._teardown_conns()
+    def _threads(self) -> list:
+        return [(self._sweep_loop(core, tid), f"{self.shard_id}.io{tid}")
+                for tid, core in enumerate(self.io_cores)] + [
+            (self._worker_loop(core), f"{self.shard_id}.w{wid}")
+            for wid, core in enumerate(self.worker_cores)]
 
     # -- I/O dispatchers ------------------------------------------------------
-    def _my_conns(self, tid: int) -> list[Connection]:
-        """This I/O thread's connection partition, cached until the
+    def _conn_pool(self, tid: int) -> list[Connection]:
+        """I/O thread ``tid``'s connection partition, cached until the
         connection set changes (``_conn_gen`` bumps on connect /
-        disconnect).  The sweeps used to rebuild every partition from
-        scratch on every pass."""
+        disconnect), so dropped connections are always pruned."""
         if self._conn_cache_gen != self._conn_gen:
             self._conn_cache.clear()
             self._conn_cache_gen = self._conn_gen
@@ -117,217 +88,61 @@ class PipelinedShard(Shard):
                 c for c in self.conns if c.conn_id % n == tid]
         return conns
 
-    def _io_loop(self, tid: int, core: Core):
-        h = self.hydra
-        idle_sweeps = 0
-        try:
-            while self.alive:
-                conns = self._my_conns(tid)
-                if not conns:
-                    yield self.doorbell.wait()
-                    continue
-                # The partition is gen-fresh: dropped connections are
-                # already pruned, so skip the membership re-filter.
-                picked = self._select_conns(owned=conns, owned_fresh=True)
-                if picked:
-                    self.metrics.counter("shard.sweeps").add()
-                    yield core.execute(self._sweep_cost(picked))
-                else:
-                    yield core.execute(self.cpu.poll_probe_ns)
-                processed = 0
-                for conn in picked:
-                    ready, extra_ns = self._poll_conn(conn)
-                    if extra_ns:
-                        yield core.execute(extra_ns)
-                    for slot, payload in ready:
-                        # Hand off to a worker: queueing + cacheline bounce.
-                        yield core.execute(h.pipeline_handoff_ns)
-                        self._queue.put((conn, slot, payload))
-                        processed += 1
-                if processed:
-                    idle_sweeps = 0
-                    continue
-                if any(c.conn_id in self._ready for c in conns):
-                    continue  # a doorbell fired mid-sweep on our partition
-                idle_sweeps += 1
-                if idle_sweeps < self.cpu.idle_polls_before_sleep:
-                    continue
-                yield from self._idle_wait(core)
-                idle_sweeps = 0
-        except Interrupt:
-            self.alive = False
+    def _hand_off(self, conn, ready, batch, core):
+        """Enqueue every ready request, still unparsed, for a worker."""
+        for slot, payload in ready:
+            # Hand off to a worker: queueing + cacheline bounce.
+            yield core.execute(self.hydra.pipeline_handoff_ns)
+            self._queue.put((conn, slot, payload))
+        return len(ready)
 
     # -- workers ---------------------------------------------------------
-    def _worker_body(self, conn, slot: int, req: Request, batch,
-                     core: Core):
-        """Handle one decoded request end to end (admission, lock,
-        execute, replicate, respond, flush check) — the scalar worker
-        body, shared with the flat worker's named-tenant fallback."""
+    def _worker_loop(self, core: Core):
+        """Take one handed-off request at a time and serve it end to end:
+        parse, tenant admission, lock, execute, :meth:`_persist`, unlock,
+        respond, flush check."""
         h = self.hydra
-        if req.tenant and batch is not None:
-            shed = yield from self._tenant_admit(conn, slot, req,
-                                                 batch, core)
-            if shed:
-                if (not self._queue.items or self._batch_full(batch)
-                        or self._batch_aged(batch)):
-                    yield from self._finish_sweep(batch)
-                return
-        # Workers share the partition: GETs take the lock shared,
-        # mutations exclusive, and mutations bounce the partition's
-        # cachelines between the worker cores.
-        is_write = req.op in WRITE_OPS
-        if is_write:
-            yield self._store_lock.write_acquire()
-            penalty = h.pipeline_write_penalty
-        else:
-            yield self._store_lock.read_acquire()
-            penalty = h.pipeline_read_penalty
-        yield core.execute(h.pipeline_lock_ns)
-        result = self._execute(req)
-        cost = (self.cpu.parse_ns + int(result.cost_ns * penalty)
-                + self.cpu.build_response_ns)
-        if not self.hydra.rdma_write_messaging:
-            cost += self.cpu.sendrecv_server_extra_ns
-        yield core.execute(cost)
-        if (self.replicator is not None and is_write
-                and result.status is Status.OK):
-            rep_cost, wait_ev = self.replicator.replicate(
-                req.op, req.key, req.value, result.version)
-            yield core.execute(rep_cost)
-            if wait_ev is not None:
-                if batch is not None:
-                    batch.rep_waits.append(wait_ev)
-                else:
-                    yield wait_ev
-        if (self.durable is not None and is_write
-                and result.status is Status.OK):
-            dur_cost, flush_ev = self.durable.append(
-                req.op, req.key, req.value, result.version)
-            yield core.execute(dur_cost)
-            if flush_ev is not None:
-                if batch is not None:
-                    batch.rep_waits.append(flush_ev)
-                else:
-                    yield flush_ev
-        if is_write:
-            self._store_lock.write_release()
-        else:
-            self._store_lock.read_release()
-        resp = Response(
-            op=req.op, status=result.status, req_id=req.req_id,
-            value=result.value,
-            rkey=(self.store.region.rkey
-                  if result.status is Status.OK and result.offset >= 0
-                  else 0),
-            roffset=max(result.offset, 0),
-            rlen=result.extent,
-            lease_expiry_ns=result.lease_expiry_ns,
-            version=result.version,
-        )
-        self._respond(conn, resp, slot, batch)
-        if batch is not None and (not self._queue.items
-                                  or self._batch_full(batch)
-                                  or self._batch_aged(batch)):
-            yield from self._finish_sweep(batch)
-
-    def _worker_flat(self, core: Core, batch):
-        """Flat twin of the worker loop: headers unpacked in place, store
-        dispatched on the raw opcode, responses packed straight to wire
-        bytes.  Every lock/execute/replicate/flush yield mirrors
-        :meth:`_worker_body` 1:1 (named tenants fall back to it — the
-        admission path needs the decoded identity), so the schedule
-        digest matches the scalar oracle.  Note the worker loops keep no
-        per-op counters on either path."""
-        h = self.hydra
-        store = self.store
         queue = self._queue
         lock = self._store_lock
-        replicator = self.replicator
-        durable = self.durable
-        unpack = _REQ.unpack_from
-        base = _REQ.size
-        lock_ns = h.pipeline_lock_ns
-        w_pen = h.pipeline_write_penalty
-        r_pen = h.pipeline_read_penalty
-        parse_build = self.cpu.parse_ns + self.cpu.build_response_ns
-        ok = Status.OK
+        # Long-lived response batch: flushed when the hand-off queue
+        # drains or at the resp_doorbell_batch cap, whichever is sooner.
+        batch = self._new_batch()
         try:
             while self.alive:
                 conn, slot, payload = yield queue.get()
-                self._c_requests.add()
-                bad = len(payload) < base
-                if not bad:
-                    op, tlen, klen, vlen, rid = unpack(payload, 0)
-                    bad = (len(payload) != base + klen + vlen + tlen
-                           or not 1 <= op <= _MAX_OP)
-                if bad:
-                    self._c_bad_requests.add()
+                parsed = self._parse(payload, self._flat and batch is not None)
+                if parsed is None:
                     continue
-                if tlen:
-                    yield from self._worker_body(
-                        conn, slot, Request.decode(payload), batch, core)
-                    continue
-                key = payload[base:base + klen]
-                value = payload[base + klen:base + klen + vlen]
+                op, rid, key, value, req = parsed
+                if req is not None and req.tenant and batch is not None:
+                    shed = yield from self._tenant_admit(conn, slot, req,
+                                                         batch, core)
+                    if shed:
+                        yield from self._flush_drained(batch, queue)
+                        continue
+                # Workers share the partition: GETs take the lock shared,
+                # mutations exclusive, and mutations bounce the partition's
+                # cachelines between the worker cores.
                 is_write = _WRITE_LO <= op <= _WRITE_HI
                 if is_write:
                     yield lock.write_acquire()
-                    penalty = w_pen
+                    penalty = h.pipeline_write_penalty
                 else:
                     yield lock.read_acquire()
-                    penalty = r_pen
-                yield core.execute(lock_ns)
-                if op == 1:
-                    result = store.get(key)
-                elif op <= 4:
-                    result = store.upsert(key, value, _OP_BY_CODE[op])
-                elif op == 5:
-                    result = store.remove(key)
-                else:
-                    result = store.lease_renew(key)
-                yield core.execute(parse_build
-                                   + int(result.cost_ns * penalty))
-                if (replicator is not None and is_write
-                        and result.status is ok):
-                    rep_cost, wait_ev = replicator.replicate(
-                        _OP_BY_CODE[op], key, value, result.version)
-                    yield core.execute(rep_cost)
-                    if wait_ev is not None:
-                        batch.rep_waits.append(wait_ev)
-                if durable is not None and is_write and result.status is ok:
-                    dur_cost, flush_ev = durable.append(
-                        _OP_BY_CODE[op], key, value, result.version)
-                    yield core.execute(dur_cost)
-                    if flush_ev is not None:
-                        batch.rep_waits.append(flush_ev)
+                    penalty = h.pipeline_read_penalty
+                yield core.execute(h.pipeline_lock_ns)
+                result = self._execute(self.store, op, key, value)
+                cost = (self.cpu.parse_ns + int(result.cost_ns * penalty)
+                        + self.cpu.build_response_ns)
+                if not h.rdma_write_messaging:
+                    cost += self.cpu.sendrecv_server_extra_ns
+                yield core.execute(cost)
+                yield from self._persist(op, key, value, result, core, batch)
                 if is_write:
                     lock.write_release()
                 else:
                     lock.read_release()
-                self._respond_flat(conn, slot, op, rid, result, store,
-                                   batch)
-                if (not queue.items or self._batch_full(batch)
-                        or self._batch_aged(batch)):
-                    yield from self._finish_sweep(batch)
-        except Interrupt:
-            self.alive = False
-
-    def _worker_loop(self, core: Core):
-        # Long-lived response batch: flushed when the hand-off queue
-        # drains or at the resp_doorbell_batch cap, whichever is sooner.
-        batch = self._new_batch()
-        if self._flat_pipe:
-            yield from self._worker_flat(core, batch)
-            return
-        try:
-            while self.alive:
-                conn, slot, payload = yield self._queue.get()
-                self.metrics.counter("shard.requests").add()
-                try:
-                    req = Request.decode(payload)
-                except (ValueError, KeyError):
-                    self.metrics.counter("shard.bad_requests").add()
-                    continue
-                yield from self._worker_body(conn, slot, req, batch, core)
+                self._reply(conn, slot, op, rid, result, self.store, batch)
+                yield from self._flush_drained(batch, queue)
         except Interrupt:
             self.alive = False

@@ -6,6 +6,23 @@ The thread does *everything*: it sweeps its per-connection request buffers
 against the store, replicates mutations, and RDMA-Writes the response —
 no hand-offs, no locks, no context switches.
 
+One request path serves every shard variant::
+
+    sweep loop -> hand-off -> execute -> _persist -> respond
+
+:meth:`Shard._sweep_loop` is the only sweep loop (gray-failure gate,
+connection selection, sweep cost, per-connection poll, hand-off, batch
+settle, idle sleep).  The variants differ only in their hand-off: the
+plain shard executes inline on the sweeping core, the sub-sharded shard
+(§6.3, ``subshard.py``) routes each request to a sub-store queue, and
+the pipelined shard (§6.2.1, ``pipelined.py``) enqueues it for a worker
+thread.  Whoever executes a write then calls :meth:`Shard._persist`, the
+single place that holds write-ack policy: it replicates the write, then
+appends it to the durable log, and every wait either joins the sweep's
+response batch or is awaited inline when there is no batch.  The TCP
+transport keeps its own epoll-style loop but shares parse, execute and
+``_persist``.
+
 Polling model: requests are detected by sustained polling with the
 indicator format.  After ``idle_polls_before_sleep`` empty sweeps the
 thread enters high-resolution sleep (§4.2.1); in the simulator the sleep
@@ -208,7 +225,12 @@ class Shard:
         self._gray = False
         self._gray_gate = Gate(sim)
         self.alive = False
-        self._proc = None
+        #: Every store this instance owns (sub-sharded shards add theirs).
+        self.stores: list[ShardStore] = [self.store]
+        #: The instance's threads, sweeper first (see :meth:`_threads`).
+        self._procs: list = []
+        #: Hand-off queues whose requests die with the process on kill.
+        self._handoffs: list[Store] = []
         # -- flat hot path (hydra.flat_hot_paths) --------------------------
         self._flat = (config.hydra.flat_hot_paths
                       and self.hydra.transport == "rdma")
@@ -223,15 +245,6 @@ class Shard:
         self._c_index_mut = m.counter("shard.index_mutations_versioned")
         self._c_resp_overflow = m.counter("shard.resp_overflow")
         self._c_age_flushes = m.counter("shard.age_flushes")
-        #: Reused parse scratch: parallel arrays one sweep batch wide
-        #: (grown on demand, never shrunk) — the sweep's analogue of the
-        #: kernel's flat calendar slots.
-        self._ba_ops: list[int] = []
-        self._ba_slots: list[int] = []
-        self._ba_keys: list[bytes] = []
-        self._ba_vals: list[bytes] = []
-        self._ba_rids: list[int] = []
-        self._ba_raw: list = []
         #: Connection-set generation: bumped on conn add/drop so holders
         #: of derived connection lists (pipelined I/O threads) re-derive
         #: them only when the set actually changed, instead of rebuilding
@@ -252,18 +265,38 @@ class Shard:
             listener = stack.listen(port)
             self.sim.process(self._tcp_acceptor(listener),
                              name=f"{self.shard_id}.accept")
-        self._proc = self.sim.process(self._run(), name=self.shard_id)
-        if self.store.reclaimer._proc is None:
-            self.store.reclaimer.start()
+        self._procs = [self.sim.process(gen, name=name)
+                       for gen, name in self._threads()]
+        for store in self.stores:
+            if store.reclaimer._proc is None:
+                store.reclaimer.start()
+
+    def _threads(self) -> list:
+        """``(generator, name)`` for each thread :meth:`start` spawns, in
+        spawn order.  The plain shard runs one: the sweep loop (or the
+        TCP ready-queue loop).  Variants add their executors/workers."""
+        if self.hydra.transport == "tcp":
+            return [(self._tcp_run(), self.shard_id)]
+        return [(self._sweep_loop(self.core), self.shard_id)]
 
     def kill(self) -> None:
         """Crash the shard process (failure injection)."""
         self.alive = False
-        self.store.reclaimer.stop()
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("killed")
+        for store in self.stores:
+            store.reclaimer.stop()
+        for proc in self._procs:
+            if proc.is_alive:
+                proc.interrupt("killed")
         if self.durable is not None:
             self.durable.crash()
+        # Requests handed off but never picked up by an executor die with
+        # the process; count them so availability experiments can see how
+        # much in-flight work a failover drops on the floor.
+        for queue in self._handoffs:
+            if queue.items:
+                self.metrics.counter("shard.dropped_handoffs").add(
+                    len(queue.items))
+                queue.items.clear()
         self._teardown_conns()
 
     def _teardown_conns(self) -> None:
@@ -283,7 +316,9 @@ class Shard:
 
         The agent's liveness checks (``alive`` + NIC up) still pass, the
         QPs still accept writes, so requests land in the buffers and rot.
-        Chaos-injection entry point.
+        Every variant's sweepers stop (the gate sits in the shared sweep
+        loop); sub-shard executors and pipelined workers only finish what
+        was already handed off.  Chaos-injection entry point.
         """
         self._gray = True
         self.metrics.counter("shard.gray_failures").add()
@@ -383,9 +418,13 @@ class Shard:
             self._ready[conn.conn_id] = conn
         self.doorbell.fire(conn)
 
-    def _select_conns(self, owned: Optional[list] = None,
-                      owned_fresh: bool = False) -> list[Connection]:
-        """Pick the connections the next sweep should probe.
+    def _conn_pool(self, tid: int) -> list[Connection]:
+        """The connections sweeper ``tid`` owns: all of them here
+        (pipelined I/O threads partition them among themselves)."""
+        return self.conns
+
+    def _select_conns(self, pool: list[Connection]) -> list[Connection]:
+        """Pick the connections of ``pool`` the next sweep should probe.
 
         With ready hints on, only flagged connections (drained from the
         ready set); every ``FULL_SWEEP_EVERY``-th *working* sweep is a
@@ -394,16 +433,7 @@ class Shard:
         work, so an idle shard spinning before sleep never degenerates
         into periodic O(conns x slots) walks.  The result is rotated so
         a hot connection at the front cannot starve the rest.
-        ``owned`` restricts the pool (pipelined I/O threads partition the
-        connections among themselves); ``owned_fresh`` promises the list
-        was derived at the current ``_conn_gen`` — dropped connections
-        already pruned — so the membership filter can be skipped.
         """
-        pool = self.conns if owned is None else \
-            (owned if owned_fresh else
-             [c for c in owned if c in self.conns])
-        if not pool:
-            return []
         if not self.hydra.ready_hints:
             picked = pool
         else:
@@ -591,33 +621,16 @@ class Shard:
             self.alive = False
 
     def _handle_tcp(self, conn, payload: bytes, outbox=None):
-        self.metrics.counter("shard.requests").add()
-        try:
-            req = Request.decode(payload)
-        except (ValueError, KeyError):
-            self.metrics.counter("shard.bad_requests").add()
+        parsed = self._parse(payload, flat=False)
+        if parsed is None:
             return
-        self.metrics.counter(f"shard.op.{req.op.name}").add()
-        result = self._execute(req)
-        self._count_index_mutation(req, result)
+        op, rid, key, value, _req = parsed
+        result = self._execute(self.store, op, key, value)
         yield self.core.execute(
             self.cpu.parse_ns + result.cost_ns + self.cpu.build_response_ns)
-        if (self.replicator is not None and req.op in WRITE_OPS
-                and result.status is Status.OK):
-            rep_cost, wait_ev = self.replicator.replicate(
-                req.op, req.key, req.value, result.version)
-            yield self.core.execute(rep_cost)
-            if wait_ev is not None:
-                yield wait_ev
-        if (self.durable is not None and req.op in WRITE_OPS
-                and result.status is Status.OK):
-            dur_cost, flush_ev = self.durable.append(
-                req.op, req.key, req.value, result.version)
-            yield self.core.execute(dur_cost)
-            if flush_ev is not None:
-                yield flush_ev
+        yield from self._persist(op, key, value, result, self.core, None)
         # No remote pointer over TCP: one-sided reads are impossible.
-        resp = Response(op=req.op, status=result.status, req_id=req.req_id,
+        resp = Response(op=op, status=result.status, req_id=rid,
                         value=result.value, version=result.version)
         data = resp.encode()
         if outbox is not None and conn.open:
@@ -633,10 +646,16 @@ class Shard:
             # teardown): the response is undeliverable, not a shard crash.
             self.metrics.counter("shard.undeliverable_responses").add()
 
-    def _run(self):
-        if self.hydra.transport == "tcp":
-            yield from self._tcp_run()
-            return
+    def _sweep_loop(self, core: Core, tid: int = 0):
+        """The one sweep loop, shared by every shard variant.
+
+        Gray gate -> pick ready connections -> charge the sweep -> poll
+        each connection -> hand its ready requests off -> settle the
+        sweep's response batch -> idle sleep after
+        ``idle_polls_before_sleep`` empty sweeps.  ``core`` and ``tid``
+        name the sweeping thread (pipelined I/O threads each sweep their
+        own partition); :meth:`_hand_off` is what the variants override.
+        """
         idle_sweeps = 0
         try:
             while self.alive:
@@ -646,283 +665,165 @@ class Shard:
                     # gray_recover() releases the gate.
                     yield self._gray_gate.wait()
                     continue
-                if not self.conns:
+                pool = self._conn_pool(tid)
+                if not pool:
                     yield self.doorbell.wait()
                     continue
-                picked = self._select_conns()
+                picked = self._select_conns(pool)
                 if picked:
                     self.metrics.counter("shard.sweeps").add()
-                    yield self.core.execute(self._sweep_cost(picked))
+                    yield core.execute(self._sweep_cost(picked))
                 else:
                     # Nothing flagged ready: one probe to check the flag.
-                    yield self.core.execute(self.cpu.poll_probe_ns)
+                    yield core.execute(self.cpu.poll_probe_ns)
                 processed = 0
                 batch = self._new_batch()
                 for conn in picked:
                     ready, extra_ns = self._poll_conn(conn)
                     if extra_ns:
-                        yield self.core.execute(extra_ns)
-                    if self._flat and batch is not None:
-                        if ready:
-                            processed += len(ready)
-                            yield from self._handle_batch(conn, ready,
-                                                          batch)
-                        continue
-                    for slot, payload in ready:
-                        yield from self._handle(conn, slot, payload, batch)
-                        processed += 1
-                        if self._batch_aged(batch):
-                            # Mid-sweep age flush: don't let early
-                            # responses wait out the rest of a big sweep.
-                            self.metrics.counter("shard.age_flushes").add()
-                            yield from self._finish_sweep(batch)
+                        yield core.execute(extra_ns)
+                    if ready:
+                        processed += yield from self._hand_off(
+                            conn, ready, batch, core)
                 yield from self._finish_sweep(batch)
                 if processed:
                     idle_sweeps = 0
                     continue
-                if self._ready:
-                    continue  # a doorbell fired mid-sweep
+                if (self._ready if pool is self.conns else
+                        any(c.conn_id in self._ready for c in pool)):
+                    continue  # a doorbell fired mid-sweep on our pool
                 idle_sweeps += 1
                 if idle_sweeps < self.cpu.idle_polls_before_sleep:
                     continue
-                yield from self._idle_wait(self.core)
+                yield from self._idle_wait(core)
                 idle_sweeps = 0
         except Interrupt:
             self.alive = False
 
-    # -- request execution ---------------------------------------------------
-    def _execute(self, req: Request) -> StoreResult:
-        if req.op is Op.GET:
-            return self.store.get(req.key)
-        if req.op in (Op.PUT, Op.INSERT, Op.UPDATE):
-            return self.store.upsert(req.key, req.value, req.op)
-        if req.op is Op.DELETE:
-            return self.store.remove(req.key)
-        if req.op is Op.LEASE_RENEW:
-            return self.store.lease_renew(req.key)
-        return StoreResult(status=Status.ERROR, cost_ns=self.cpu.parse_ns)
+    def _hand_off(self, conn: Connection, ready: list,
+                  batch: Optional[_SweepBatch], core: Core):
+        """Plain-shard hand-off: execute every ready request inline on the
+        sweeping core.  Returns how many requests were handed off."""
+        for slot, payload in ready:
+            yield from self._handle(conn, slot, payload, batch)
+            if self._batch_aged(batch):
+                # Mid-sweep age flush: don't let early responses wait out
+                # the rest of a big sweep.
+                self._c_age_flushes.add()
+                yield from self._finish_sweep(batch)
+        return len(ready)
 
-    def _count_index_mutation(self, req: Request,
-                              result: StoreResult) -> None:
-        """Count mutations that version-bumped exported index buckets."""
-        if (req.op in WRITE_OPS and result.status is Status.OK
-                and self.store_for_key(req.key).export is not None):
-            self.metrics.counter("shard.index_mutations_versioned").add()
+    # -- request execution ---------------------------------------------------
+    def _parse(self, payload: bytes, flat: bool):
+        """Count and parse one request frame.
+
+        Returns ``(op, req_id, key, value, req)``, or None for a malformed
+        frame.  The flat path (``hydra.flat_hot_paths``) unpacks the header
+        in place and leaves ``req`` None; the scalar oracle decodes a
+        :class:`Request`, which the flat path also does for a named tenant
+        because admission needs the decoded identity.
+        """
+        self._c_requests.add()
+        if not flat:
+            try:
+                req = Request.decode(payload)
+            except (ValueError, KeyError):
+                self._c_bad_requests.add()
+                return None
+            self._c_op[req.op].add()
+            return req.op, req.req_id, req.key, req.value, req
+        base = _REQ.size
+        if len(payload) >= base:
+            op, tlen, klen, vlen, rid = _REQ.unpack_from(payload, 0)
+            end = base + klen
+            if len(payload) == end + vlen + tlen and 1 <= op <= _MAX_OP:
+                self._c_op[op].add()
+                return (op, rid, payload[base:end], payload[end:end + vlen],
+                        Request.decode(payload) if tlen else None)
+        self._c_bad_requests.add()
+        return None
+
+    def _execute(self, store: ShardStore, op: int, key: bytes,
+                 value: bytes) -> StoreResult:
+        """The one opcode -> store dispatch, for every execute site.
+
+        ``op`` is a raw wire opcode or an :class:`Op` (both parse paths
+        only yield valid opcodes).  Mutations that version-bump exported
+        index buckets are counted here.
+        """
+        if op == 1:  # GET
+            return store.get(key)
+        if op <= 4:  # PUT / INSERT / UPDATE
+            result = store.upsert(key, value, _OP_BY_CODE[op])
+        elif op == 5:  # DELETE
+            result = store.remove(key)
+        else:
+            return store.lease_renew(key)
+        if result.status is Status.OK and store.export is not None:
+            self._c_index_mut.add()
+        return result
+
+    def _persist(self, op: int, key: bytes, value: bytes,
+                 result: StoreResult, core: Core,
+                 batch: Optional[_SweepBatch]):
+        """Make an executed write safe: the single place that holds
+        write-ack policy.
+
+        A successful write is replicated, then appended to the durable
+        write-behind log.  Replication is issued after local processing;
+        in rdma_log mode the shard moves on immediately and the
+        secondary's merge overlaps with the *next* requests, while strict
+        mode returns an ack wait.  Under ``ack_on_flush`` the durable log
+        returns the group-commit flush covering the record.  Each wait
+        joins ``batch`` (awaited once in :meth:`_finish_sweep`, before any
+        response of the batch is flushed), or is awaited inline when there
+        is no batch, so no response leaves before its write is safe.
+        """
+        if result.status is not Status.OK or not (
+                _WRITE_LO <= op <= _WRITE_HI):
+            return
+        op = _OP_BY_CODE[op]
+        if self.replicator is not None:
+            cost, wait_ev = self.replicator.replicate(op, key, value,
+                                                      result.version)
+            yield core.execute(cost)
+            if wait_ev is not None:
+                if batch is None:
+                    yield wait_ev
+                else:
+                    batch.rep_waits.append(wait_ev)
+        if self.durable is not None:
+            cost, wait_ev = self.durable.append(op, key, value,
+                                                result.version)
+            yield core.execute(cost)
+            if wait_ev is not None:
+                if batch is None:
+                    yield wait_ev
+                else:
+                    batch.rep_waits.append(wait_ev)
 
     def _handle(self, conn: Connection, slot: int, payload: bytes,
                 batch: Optional[_SweepBatch] = None):
-        self.metrics.counter("shard.requests").add()
-        try:
-            req = Request.decode(payload)
-        except (ValueError, KeyError):
-            self.metrics.counter("shard.bad_requests").add()
+        """Serve one request inline: parse, tenant admission, execute,
+        :meth:`_persist`, respond.  The flat path needs the sweep batch
+        (it responds through the batch buffer only)."""
+        parsed = self._parse(payload, self._flat and batch is not None)
+        if parsed is None:
             return
-        self.metrics.counter(f"shard.op.{req.op.name}").add()
-        yield from self._handle_req(conn, slot, req, batch)
-
-    def _handle_req(self, conn: Connection, slot: int, req: Request,
-                    batch: Optional[_SweepBatch] = None):
-        if req.tenant and batch is not None:
+        op, rid, key, value, req = parsed
+        if req is not None and req.tenant and batch is not None:
             shed = yield from self._tenant_admit(conn, slot, req, batch,
                                                  self.core)
             if shed:
                 return
-        result = self._execute(req)
-        self._count_index_mutation(req, result)
+        result = self._execute(self.store, op, key, value)
         cost = (self.cpu.parse_ns + result.cost_ns
                 + self.cpu.build_response_ns)
         if not self.hydra.rdma_write_messaging:
             cost += self.cpu.sendrecv_server_extra_ns
         yield self.core.execute(cost)
-        if (self.replicator is not None and req.op in WRITE_OPS
-                and result.status is Status.OK):
-            # Replication is issued after local processing; in rdma_log
-            # mode the shard moves on immediately and the secondary's merge
-            # overlaps with the *next* requests, while strict mode blocks
-            # for the full request/acknowledge round trip.  When this
-            # sweep batches responses, the ack wait joins the sweep's
-            # batch (awaited once in _finish_sweep, before any response
-            # of the sweep is flushed) instead of stalling here.
-            rep_cost, wait_ev = self.replicator.replicate(
-                req.op, req.key, req.value, result.version)
-            yield self.core.execute(rep_cost)
-            if wait_ev is not None:
-                if batch is not None:
-                    batch.rep_waits.append(wait_ev)
-                else:
-                    yield wait_ev
-        if (self.durable is not None and req.op in WRITE_OPS
-                and result.status is Status.OK):
-            # Write-behind durable append: stage the record and move on.
-            # Under ack_on_flush the group-commit flush event joins the
-            # sweep batch exactly like a replication ack, so the response
-            # flushes only once the write is on persistent media.
-            dur_cost, flush_ev = self.durable.append(
-                req.op, req.key, req.value, result.version)
-            yield self.core.execute(dur_cost)
-            if flush_ev is not None:
-                if batch is not None:
-                    batch.rep_waits.append(flush_ev)
-                else:
-                    yield flush_ev
-        resp = Response(
-            op=req.op, status=result.status, req_id=req.req_id,
-            value=result.value,
-            rkey=(self.store.region.rkey
-                  if result.status is Status.OK and result.offset >= 0
-                  else 0),
-            roffset=max(result.offset, 0),
-            rlen=result.extent,
-            lease_expiry_ns=result.lease_expiry_ns,
-            version=result.version,
-        )
-        self._respond(conn, resp, slot, batch)
-
-    def _handle_batch(self, conn: Connection, ready: list,
-                      batch: _SweepBatch):
-        """Flat-array sweep inner loop (``hydra.flat_hot_paths``).
-
-        Processes one connection's whole ready batch through
-        parse→index→respond as parallel arrays: request headers are
-        unpacked with ``struct.unpack_from`` into reused scratch lists
-        (no Request objects), the store is dispatched on the raw opcode,
-        and responses are packed straight to wire bytes (no Response
-        objects, no ``encode()``).  Every simulated yield of the scalar
-        path — the per-request ``core.execute``, replication issue and
-        ack collection, mid-batch age flushes — is preserved 1:1, so the
-        schedule digest stays bit-identical to the scalar oracle
-        (``flat_hot_paths=False``).  Named-tenant requests fall back to
-        the scalar per-request body: admission accounting needs the
-        decoded tenant and is not a hot path.
-        """
-        c_req = self._c_requests
-        c_op = self._c_op
-        ops = self._ba_ops
-        slots_a = self._ba_slots
-        keys = self._ba_keys
-        vals = self._ba_vals
-        rids = self._ba_rids
-        raws = self._ba_raw
-        while len(ops) < len(ready):
-            ops.append(0)
-            slots_a.append(0)
-            keys.append(b"")
-            vals.append(b"")
-            rids.append(0)
-            raws.append(None)
-        unpack = _REQ.unpack_from
-        base = _REQ.size
-        n = 0
-        # Pass 1 — parse. No simulated time passes here (parsing cost is
-        # charged with the execute below, as on the scalar path), so
-        # batching the parses cannot reorder events.
-        for slot, payload in ready:
-            c_req.add()
-            bad = len(payload) < base
-            if not bad:
-                op, tlen, klen, vlen, rid = unpack(payload, 0)
-                bad = (len(payload) != base + klen + vlen + tlen
-                       or not 1 <= op <= _MAX_OP)
-            if bad:
-                self._c_bad_requests.add()
-                # Keep a no-op entry so pass 2 runs the same per-request
-                # age-flush check the scalar loop runs after a bad one.
-                ops[n] = -2
-                n += 1
-                continue
-            c_op[op].add()
-            slots_a[n] = slot
-            rids[n] = rid
-            if tlen:
-                ops[n] = -1  # tenant request: scalar fallback in pass 2
-                raws[n] = payload
-            else:
-                ops[n] = op
-                keys[n] = payload[base:base + klen]
-                vals[n] = payload[base + klen:base + klen + vlen]
-            n += 1
-        # Pass 2 — execute + respond, in arrival order.
-        sim = self.sim
-        cpu = self.cpu
-        core_execute = self.core.execute
-        store = self.store
-        replicator = self.replicator
-        durable = self.durable
-        # Base shards execute every key against their one store
-        # (store_for_key exists for the sub-sharded loops, which do not
-        # route through this handler).
-        exported = store.export is not None
-        region_rkey = store.region.rkey
-        parse_build = cpu.parse_ns + cpu.build_response_ns
-        pack = _RESP.pack
-        resp_rptrs = conn.resp_slot_rptrs
-        consumed = conn.consumed_pending
-        conn_id = conn.conn_id
-        batch_resp = batch.resp
-        rep_waits = batch.rep_waits
-        ok = Status.OK
-        for i in range(n):
-            op = ops[i]
-            slot = slots_a[i]
-            if op == -2:
-                pass  # bad request: counted in pass 1, nothing to do
-            elif op == -1:
-                req = Request.decode(raws[i])
-                raws[i] = None
-                yield from self._handle_req(conn, slot, req, batch)
-            else:
-                key = keys[i]
-                if op == 1:
-                    result = store.get(key)
-                elif op <= 4:
-                    result = store.upsert(key, vals[i], _OP_BY_CODE[op])
-                elif op == 5:
-                    result = store.remove(key)
-                else:
-                    result = store.lease_renew(key)
-                status = result.status
-                is_ok_write = (status is ok
-                               and _WRITE_LO <= op <= _WRITE_HI)
-                if is_ok_write and exported:
-                    self._c_index_mut.add()
-                yield core_execute(parse_build + result.cost_ns)
-                if replicator is not None and is_ok_write:
-                    rep_cost, wait_ev = replicator.replicate(
-                        _OP_BY_CODE[op], key, vals[i], result.version)
-                    yield core_execute(rep_cost)
-                    if wait_ev is not None:
-                        rep_waits.append(wait_ev)
-                if durable is not None and is_ok_write:
-                    dur_cost, flush_ev = durable.append(
-                        _OP_BY_CODE[op], key, vals[i], result.version)
-                    yield core_execute(dur_cost)
-                    if flush_ev is not None:
-                        rep_waits.append(flush_ev)
-                # Respond: straight to wire bytes, buffered for the
-                # sweep's doorbell-coalesced flush (the scalar _respond
-                # batch branch, inlined).
-                consumed.discard(slot)
-                value = result.value
-                offset = result.offset
-                data = pack(op, status, 0, len(value), rids[i],
-                            region_rkey if (status is ok and offset >= 0)
-                            else 0,
-                            offset if offset > 0 else 0,
-                            result.extent, result.lease_expiry_ns,
-                            result.version) + value
-                if frame_len(len(data)) > resp_rptrs[slot].length:
-                    self._c_resp_overflow.add()
-                    data = pack(op, Status.ERROR, 0, 0, rids[i],
-                                0, 0, 0, 0, 0)
-                if batch.first_ns is None:
-                    batch.first_ns = sim.now
-                batch_resp.setdefault(conn_id, (conn, []))[1].append(
-                    (slot, data))
-            if self._batch_aged(batch):
-                self._c_age_flushes.add()
-                yield from self._finish_sweep(batch)
-                # A flush clears the buffered-response map in place;
-                # the cached locals stay valid for the next append.
+        yield from self._persist(op, key, value, result, self.core, batch)
+        self._reply(conn, slot, op, rid, result, self.store, batch)
 
     def _tenant_admit(self, conn: Connection, slot: int, req: Request,
                       batch: _SweepBatch, core: Core):
@@ -959,12 +860,17 @@ class Shard:
             return _SweepBatch()
         return None
 
-    def _batch_full(self, batch: _SweepBatch) -> bool:
-        """Long-lived batches (executor/worker loops) flush at this cap
-        even when their input queue never drains."""
+    def _flush_drained(self, batch: Optional[_SweepBatch], queue: Store):
+        """Settle an executor's long-lived batch once its hand-off queue
+        drains, once it holds ``resp_doorbell_batch`` responses or waits
+        (the queue may never drain), or once it has aged."""
+        if batch is None:
+            return
         cap = max(1, self.hydra.resp_doorbell_batch)
-        buffered = sum(len(entries) for _c, entries in batch.resp.values())
-        return buffered >= cap or len(batch.rep_waits) >= cap
+        if (not queue.items or len(batch.rep_waits) >= cap
+                or sum(len(e) for _c, e in batch.resp.values()) >= cap
+                or self._batch_aged(batch)):
+            yield from self._finish_sweep(batch)
 
     def _batch_aged(self, batch: Optional[_SweepBatch]) -> bool:
         """Age-based flush trigger (``hydra.resp_flush_max_ns``): True once
@@ -1015,15 +921,30 @@ class Shard:
         # Fire-and-forget: the shard moves to the next request buffer
         # without waiting for the completion (§4.1.1).
 
+    def _reply(self, conn: Connection, slot: int, op: int, rid: int,
+               result: StoreResult, store: ShardStore,
+               batch: Optional[_SweepBatch]) -> None:
+        """Respond to an executed request: packed straight to wire bytes
+        on the flat path (which needs a batch), through a
+        :class:`Response` object on the scalar oracle."""
+        if self._flat and batch is not None:
+            self._respond_flat(conn, slot, op, rid, result, store, batch)
+            return
+        ok = result.status is Status.OK
+        self._respond(conn, Response(
+            op=op, status=result.status, req_id=rid, value=result.value,
+            rkey=store.region.rkey if ok and result.offset >= 0 else 0,
+            roffset=max(result.offset, 0),
+            rlen=result.extent,
+            lease_expiry_ns=result.lease_expiry_ns,
+            version=result.version,
+        ), slot, batch)
+
     def _respond_flat(self, conn: Connection, slot: int, op: int, rid: int,
                       result, store: ShardStore,
                       batch: _SweepBatch) -> None:
         """Buffer one response packed straight to wire bytes — the
-        batched branch of :meth:`_respond` without the Response object.
-        Used by the sub-sharded / pipelined flat executors, which respond
-        one op at a time against varying stores (the base sweep inlines
-        this in :meth:`_handle_batch` with the per-sweep state hoisted).
-        """
+        batched branch of :meth:`_respond` without the Response object."""
         conn.consumed_pending.discard(slot)
         status = result.status
         value = result.value

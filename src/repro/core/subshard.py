@@ -15,6 +15,11 @@ sub-shards share *nothing* — each exclusively owns its own
 is preserved; the only added costs are the dispatch hand-off and a short
 send-queue lock when executors post responses on shared QPs.
 
+The dispatcher is the shared :meth:`Shard._sweep_loop`; this class
+supplies only its hand-off (route to the owning sub-store's queue) and
+the executors, which run the shared execute, ``_persist`` and respond
+steps against their own store.
+
 The ablation bench ``ablation_subsharding`` compares this against plain
 multi-shard scale-up past the QP wall.
 """
@@ -26,12 +31,9 @@ from typing import Optional
 from ..config import SimConfig
 from ..hardware import Core, Machine
 from ..index.hashing import hash64
-from ..protocol import Op, Request, Response, Status
-from ..protocol.messages import _REQ
 from ..sim import Interrupt, MetricSet, Simulator, Store
 from .errors import LifecycleError
-from .shard import (_MAX_OP, _OP_BY_CODE, _WRITE_HI, _WRITE_LO, Shard,
-                    WRITE_OPS)
+from .shard import Shard
 from .store import ShardStore
 
 __all__ = ["SubShardedShard"]
@@ -62,9 +64,10 @@ class SubShardedShard(Shard):
                          export_index=False)
         # The base-class store becomes sub-shard 0; the rest get their own
         # stores and cores within the same NUMA domain where possible.
-        self.substores: list[ShardStore] = [self.store]
+        self.substores: list[ShardStore] = self.stores
         self.subcores: list[Core] = []
         self._queues: list[Store] = [Store(sim) for _ in range(n_subshards)]
+        self._handoffs = self._queues
         for k in range(1, n_subshards):
             self.substores.append(ShardStore(
                 sim, config, self.nic, core.numa_domain,
@@ -76,13 +79,6 @@ class SubShardedShard(Shard):
             self.subcores.append(machine.allocate_core(
                 f"{shard_id}.sub{k}"))
         self.n_subshards = n_subshards
-        self._procs: list = []
-        #: Flat hand-off (hydra.flat_hot_paths): dispatcher and executors
-        #: must agree on the queue item shape, so the mode is fixed here.
-        #: Requires response batching — the flat executor responds through
-        #: the sweep-batch buffer only.
-        self._flat_sub = (self._flat and self.hydra.rdma_write_messaging
-                          and self.hydra.resp_doorbell_batch > 0)
 
     @property
     def cores_used(self) -> int:
@@ -97,205 +93,52 @@ class SubShardedShard(Shard):
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        if self.alive:
-            raise LifecycleError(f"{self.shard_id} already running")
         if self.replicator is not None:
             raise LifecycleError(
                 "sub-sharded instances do not support replication hooks")
-        self.alive = True
-        self._procs = [self.sim.process(self._dispatch_loop(),
-                                        name=f"{self.shard_id}.dispatch")]
-        for k in range(self.n_subshards):
-            self._procs.append(self.sim.process(
-                self._executor_loop(k), name=f"{self.shard_id}.sub{k}"))
-        self._proc = self._procs[0]
-        for store in self.substores:
-            if store.reclaimer._proc is None:
-                store.reclaimer.start()
+        super().start()
 
-    def kill(self) -> None:
-        self.alive = False
-        for store in self.substores:
-            store.reclaimer.stop()
-        for p in self._procs:
-            if p.is_alive:
-                p.interrupt("killed")
-        if self.durable is not None:
-            self.durable.crash()
-        self._teardown_conns()
+    def _threads(self) -> list:
+        return [(self._sweep_loop(self.core), f"{self.shard_id}.dispatch")] + [
+            (self._executor_loop(k), f"{self.shard_id}.sub{k}")
+            for k in range(self.n_subshards)]
 
     # -- dispatcher (owns every connection) --------------------------------
-    def _dispatch_loop(self):
-        idle_sweeps = 0
-        try:
-            while self.alive:
-                if not self.conns:
-                    yield self.doorbell.wait()
-                    continue
-                picked = self._select_conns()
-                if picked:
-                    self.metrics.counter("shard.sweeps").add()
-                    yield self.core.execute(self._sweep_cost(picked))
-                else:
-                    yield self.core.execute(self.cpu.poll_probe_ns)
-                processed = 0
-                for conn in picked:
-                    ready, extra_ns = self._poll_conn(conn)
-                    if extra_ns:
-                        yield self.core.execute(extra_ns)
-                    if self._flat_sub:
-                        processed += yield from self._dispatch_flat(
-                            conn, ready)
-                        continue
-                    for slot, payload in ready:
-                        self.metrics.counter("shard.requests").add()
-                        try:
-                            req = Request.decode(payload)
-                        except (ValueError, KeyError):
-                            self.metrics.counter("shard.bad_requests").add()
-                            continue
-                        self.metrics.counter(f"shard.op.{req.op.name}").add()
-                        yield self.core.execute(
-                            self.cpu.parse_ns + DISPATCH_NS)
-                        self._queues[self._substore_for(req.key)].put(
-                            (conn, slot, req))
-                        processed += 1
-                if processed:
-                    idle_sweeps = 0
-                    continue
-                if self._ready:
-                    continue
-                idle_sweeps += 1
-                if idle_sweeps < self.cpu.idle_polls_before_sleep:
-                    continue
-                # Honors cpu.sleep_backoff like the base shard loop (the
-                # dispatcher used to sleep unconditionally, skewing the
-                # busy-poll ablation's CPU numbers).
-                yield from self._idle_wait(self.core)
-                idle_sweeps = 0
-        except Interrupt:
-            self.alive = False
-
-    def _dispatch_flat(self, conn, ready):
-        """Flat-array hand-off: unpack each header in place and enqueue a
-        raw ``(conn, slot, op, key, value, req_id)`` tuple — no Request
-        objects.  Sub-shard executors ignore tenant identity (the scalar
-        path runs no admission here either), so named-tenant requests
-        ride the same fast path.  Yields exactly where the scalar
-        dispatcher does, so the schedule digest is unchanged."""
-        unpack = _REQ.unpack_from
-        base = _REQ.size
-        execute = self.core.execute
+    def _hand_off(self, conn, ready, batch, core):
+        """Route each request by key hash to its sub-shard's queue.
+        Executors ignore tenant identity, so named tenants ride the same
+        path.  Malformed frames are dropped here and not counted as
+        handed off."""
         handoff = self.cpu.parse_ns + DISPATCH_NS
-        queues = self._queues
         processed = 0
         for slot, payload in ready:
-            self._c_requests.add()
-            bad = len(payload) < base
-            if not bad:
-                op, tlen, klen, vlen, rid = unpack(payload, 0)
-                bad = (len(payload) != base + klen + vlen + tlen
-                       or not 1 <= op <= _MAX_OP)
-            if bad:
-                self._c_bad_requests.add()
+            parsed = self._parse(payload, self._flat)
+            if parsed is None:
                 continue
-            self._c_op[op].add()
-            key = payload[base:base + klen]
-            yield execute(handoff)
-            queues[self._substore_for(key)].put(
-                (conn, slot, op, key,
-                 payload[base + klen:base + klen + vlen], rid))
+            op, rid, key, value, _req = parsed
+            yield core.execute(handoff)
+            self._queues[self._substore_for(key)].put(
+                (conn, slot, op, rid, key, value))
             processed += 1
         return processed
 
     # -- executors (exclusive sub-partition owners) ------------------------
-    def _execute_on(self, store: ShardStore, req: Request):
-        if req.op is Op.GET:
-            return store.get(req.key)
-        if req.op in (Op.PUT, Op.INSERT, Op.UPDATE):
-            return store.upsert(req.key, req.value, req.op)
-        if req.op is Op.DELETE:
-            return store.remove(req.key)
-        if req.op is Op.LEASE_RENEW:
-            return store.lease_renew(req.key)
-        from .store import StoreResult
-        return StoreResult(status=Status.ERROR, cost_ns=self.cpu.parse_ns)
-
-    def _executor_flat(self, k: int, store: ShardStore, core, batch):
-        """Flat twin of :meth:`_executor_loop`: dispatches on the raw
-        opcode and packs responses straight to wire bytes.  Same yields,
-        same flush points — bit-identical schedule."""
-        queue = self._queues[k]
-        lock_build = self.cpu.build_response_ns + SEND_LOCK_NS
-        try:
-            while self.alive:
-                conn, slot, op, key, value, rid = yield queue.get()
-                if op == 1:
-                    result = store.get(key)
-                elif op <= 4:
-                    result = store.upsert(key, value, _OP_BY_CODE[op])
-                elif op == 5:
-                    result = store.remove(key)
-                else:
-                    result = store.lease_renew(key)
-                yield core.execute(result.cost_ns + lock_build)
-                if (self.durable is not None and result.status is Status.OK
-                        and _WRITE_LO <= op <= _WRITE_HI):
-                    dur_cost, flush_ev = self.durable.append(
-                        _OP_BY_CODE[op], key, value, result.version)
-                    yield core.execute(dur_cost)
-                    if flush_ev is not None:
-                        batch.rep_waits.append(flush_ev)
-                self._respond_flat(conn, slot, op, rid, result, store,
-                                   batch)
-                if (not queue.items or self._batch_full(batch)
-                        or self._batch_aged(batch)):
-                    yield from self._finish_sweep(batch)
-        except Interrupt:
-            self.alive = False
-
     def _executor_loop(self, k: int):
         store = self.substores[k]
         core = self.subcores[k]
+        queue = self._queues[k]
         # Long-lived response batch: flushed when this executor's queue
         # drains or at the resp_doorbell_batch cap, whichever is sooner.
         batch = self._new_batch()
-        if self._flat_sub:
-            yield from self._executor_flat(k, store, core, batch)
-            return
+        lock_build = self.cpu.build_response_ns + SEND_LOCK_NS
         try:
             while self.alive:
-                conn, slot, req = yield self._queues[k].get()
-                result = self._execute_on(store, req)
-                yield core.execute(result.cost_ns
-                                   + self.cpu.build_response_ns
-                                   + SEND_LOCK_NS)
-                if (self.durable is not None and req.op in WRITE_OPS
-                        and result.status is Status.OK):
-                    dur_cost, flush_ev = self.durable.append(
-                        req.op, req.key, req.value, result.version)
-                    yield core.execute(dur_cost)
-                    if flush_ev is not None:
-                        if batch is not None:
-                            batch.rep_waits.append(flush_ev)
-                        else:
-                            yield flush_ev
-                resp = Response(
-                    op=req.op, status=result.status, req_id=req.req_id,
-                    value=result.value,
-                    rkey=(store.region.rkey
-                          if result.status is Status.OK
-                          and result.offset >= 0 else 0),
-                    roffset=max(result.offset, 0),
-                    rlen=result.extent,
-                    lease_expiry_ns=result.lease_expiry_ns,
-                    version=result.version,
-                )
-                self._respond(conn, resp, slot, batch)
-                if batch is not None and (not self._queues[k].items
-                                          or self._batch_full(batch)
-                                          or self._batch_aged(batch)):
-                    yield from self._finish_sweep(batch)
+                conn, slot, op, rid, key, value = yield queue.get()
+                result = self._execute(store, op, key, value)
+                yield core.execute(result.cost_ns + lock_build)
+                yield from self._persist(op, key, value, result, core, batch)
+                self._reply(conn, slot, op, rid, result, store, batch)
+                yield from self._flush_drained(batch, queue)
         except Interrupt:
             self.alive = False
 

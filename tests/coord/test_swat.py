@@ -10,7 +10,8 @@ from repro.protocol import Status
 def ha_cluster(replicas=1, shards_per_server=1, **hydra):
     cfg = SimConfig().with_overrides(
         replication={"replicas": replicas},
-        hydra={"op_timeout_ns": 5_000_000, **hydra},
+        hydra=hydra,
+        client={"op_timeout_ns": 5_000_000},
     )
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=shards_per_server)

@@ -7,10 +7,12 @@ mixed workload with schedule tracing on under both settings and assert
 the BLAKE2 dispatch digests match bit for bit — every event fires at
 the same time, in the same order, with the same outcome — across the
 base shard, the sub-sharded and pipelined variants, tenant traffic,
-replication, and a mid-run shard kill (the undeliverable-response
-flush path).  One test also spans the full seed stack (scalar paths on
+replication, the durable log in both ack modes, and a mid-run shard
+kill (the undeliverable-response flush path).  One test also spans the full seed stack (scalar paths on
 ``Simulator(legacy=True)``), the exact comparison BENCH_scale times.
 """
+
+import pytest
 
 from repro import HydraCluster, SimConfig
 from repro.core.errors import RequestTimeout
@@ -53,13 +55,16 @@ def _mixed_procs(cluster):
     return procs
 
 
-def _digest(flat, legacy=False, hydra=None, replication=0, chaos=False):
+def _digest(flat, legacy=False, hydra=None, replication=0, chaos=False,
+            durability=None):
     sim = Simulator(legacy=legacy)
     sim.trace_schedule()
     sections = {"hydra": dict(_HYDRA, flat_hot_paths=flat, **(hydra or {})),
                 "client": dict(_CLIENT)}
     if replication:
         sections["replication"] = {"replicas": replication}
+    if durability:
+        sections["durability"] = {"enabled": True, "ack_mode": durability}
     cluster = HydraCluster(SimConfig().with_overrides(**sections),
                            n_server_machines=2, shards_per_server=2,
                            n_client_machines=1, sim=sim)
@@ -134,6 +139,23 @@ def test_replicated_flat_parity():
     scalar = _digest(flat=False, replication=1)
     flat = _digest(flat=True, replication=1)
     assert flat == scalar
+
+
+@pytest.mark.parametrize("ack_mode", ["ack_on_flush", "ack_on_replicate"])
+@pytest.mark.parametrize("variant,hydra,replication", [
+    ("plain", None, 1),
+    ("subshard", {"subshards": 2}, 0),
+    ("pipelined", {"pipelined_shards": True}, 1),
+])
+def test_durable_flat_parity(variant, hydra, replication, ack_mode):
+    """The durable write path (log append, and under ack_on_flush the
+    group-commit wait joining the response batch) schedules identically
+    on the flat and scalar paths of every shard variant."""
+    kw = dict(hydra=hydra, replication=replication, durability=ack_mode)
+    scalar = _digest(flat=False, **kw)
+    flat = _digest(flat=True, **kw)
+    assert flat == scalar
+    assert flat[1] > 4_000
 
 
 def test_flat_parity_under_shard_kill():

@@ -5,12 +5,12 @@ from repro.core import BadStatus
 from repro.protocol import Op, Status
 
 
-def fanout_config(window=8, reads=8, **hydra):
-    over = {"msg_slots_per_conn": window, "max_inflight_per_conn": window,
-            "max_inflight_reads": reads,
-            "rptr_cache_enabled": True, "rptr_sharing": False}
-    over.update(hydra)
-    return SimConfig().with_overrides(hydra=over)
+def fanout_config(window=8, reads=8, cache=True):
+    return SimConfig().with_overrides(
+        hydra={"msg_slots_per_conn": window},
+        client={"max_inflight_per_conn": window,
+                "max_inflight_reads": reads,
+                "rptr_cache_enabled": cache, "rptr_sharing": False})
 
 
 def make_cluster(config=None, **kw):
@@ -112,7 +112,7 @@ def test_get_many_failure_drains_batch_before_raising():
     """Satellite: a failing key must not leak in-flight slots — the error
     surfaces only after every pending response is gathered, and the
     connection stays usable."""
-    cfg = fanout_config(window=16, rptr_cache_enabled=False)
+    cfg = fanout_config(window=16, cache=False)
     cluster = make_cluster(cfg)  # 16 slots -> 1 KiB response slots
     client = cluster.client()
     shard = cluster.route(b"big")

@@ -12,7 +12,7 @@ MS = 1_000_000
 def test_failover_during_write_storm_loses_no_acked_write():
     cfg = SimConfig().with_overrides(
         replication={"replicas": 1},
-        hydra={"op_timeout_ns": 5 * MS},
+        client={"op_timeout_ns": 5 * MS},
     )
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=1, n_client_machines=2)
@@ -64,7 +64,7 @@ def test_reads_resume_after_failover_with_stale_pointers():
     exhaustion) and reads recover via the promoted shard."""
     cfg = SimConfig().with_overrides(
         replication={"replicas": 1},
-        hydra={"op_timeout_ns": 5 * MS},
+        client={"op_timeout_ns": 5 * MS},
     )
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=1, n_client_machines=1)
@@ -101,7 +101,7 @@ def test_reads_resume_after_failover_with_stale_pointers():
 def test_double_failure_without_remaining_replica_is_detected():
     cfg = SimConfig().with_overrides(
         replication={"replicas": 1},
-        hydra={"op_timeout_ns": 5 * MS},
+        client={"op_timeout_ns": 5 * MS},
     )
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=1)

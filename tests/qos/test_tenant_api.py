@@ -1,6 +1,6 @@
 """Tenant-scoped client API: golden default-path digest, typed
 throttling (never a silent stall), fairness under skew, server-side
-shed, and the flat-config deprecation shim."""
+shed, and the typed config groups."""
 
 import pytest
 
@@ -216,39 +216,17 @@ def test_server_shed_is_typed_and_counted():
 
 
 # ---------------------------------------------------------------------------
-# config shim
+# config groups
 
 
-@pytest.fixture(autouse=True)
-def _fresh_deprecation_state():
-    """The moved-key warning fires once per process; reset per test."""
-    from repro import config as config_mod
-    config_mod._warned_moved_keys.clear()
-    yield
-    config_mod._warned_moved_keys.clear()
-
-
-def test_moved_hydra_keys_resolve_with_deprecation_warning():
+def test_with_overrides_rejects_moved_flat_keys():
+    """Client and traversal knobs live only in their own groups; the old
+    flat ``hydra.*`` names are not accepted or resolved."""
+    with pytest.raises(TypeError):
+        SimConfig().with_overrides(hydra={"max_inflight_per_conn": 5})
     cfg = SimConfig()
-    with pytest.warns(DeprecationWarning, match="max_inflight_per_conn"):
-        assert cfg.hydra.max_inflight_per_conn == \
-            cfg.client.max_inflight_per_conn
-    with pytest.warns(DeprecationWarning, match="index_traversal"):
-        assert cfg.hydra.index_traversal == cfg.traversal.enabled
-
-
-def test_moved_hydra_key_writes_forward_to_new_section():
-    cfg = SimConfig()
-    with pytest.warns(DeprecationWarning):
-        cfg.hydra.op_timeout_ns = 123_456
-    assert cfg.client.op_timeout_ns == 123_456
-
-
-def test_with_overrides_accepts_legacy_flat_keys():
-    with pytest.warns(DeprecationWarning):
-        cfg = SimConfig().with_overrides(
-            hydra={"max_inflight_per_conn": 5})
-    assert cfg.client.max_inflight_per_conn == 5
+    assert not hasattr(cfg.hydra, "max_inflight_per_conn")
+    assert not hasattr(cfg.hydra, "index_traversal")
 
 
 def test_unknown_hydra_key_still_raises():
